@@ -77,12 +77,23 @@ func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, vw []floa
 		vw = p.VertexWeights(nil, len(q))
 	}
 	wa, wf := p.ampFreqWeights()
-	ws := p.StreamWeight(rel)
-
 	var wsum float64
 	for _, w := range vw {
 		wsum += w
 	}
+	d, ok = weightedDistance(q, c, vw, wa, wf, p.StreamWeight(rel), wsum, bound)
+	return d, ok, nil
+}
+
+// weightedDistance is the arithmetic of Definition 2 with every
+// Params-derived factor already resolved: vw the per-segment vertex
+// weights, wsum their sum (accumulated in index order), wa/wf the
+// amplitude/frequency weights and ws the source-stream weight. The
+// search resolves these once per query instead of once per candidate;
+// the expressions and their evaluation order are the only definition
+// of the distance, so every caller gets bit-identical results. bound
+// enables early abandonment as described on distanceBounded.
+func weightedDistance(q, c plr.Sequence, vw []float64, wa, wf, ws, wsum, bound float64) (d float64, ok bool) {
 	// Early abandonment threshold on the raw (unnormalized) sum. The
 	// tiny relative slack makes abandonment conservative under
 	// floating-point rounding: a candidate whose final distance ties
@@ -111,10 +122,10 @@ func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, vw []floa
 		durDiff := math.Abs((q[i+1].T - q[i].T) - (c[i+1].T - c[i].T))
 		sum += vw[i] * (wa*ampDiff + wf*durDiff)
 		if sum > abandonAt {
-			return sum / (ws * wsum), false, nil
+			return sum / (ws * wsum), false
 		}
 	}
-	return sum / (ws * wsum), true, nil
+	return sum / (ws * wsum), true
 }
 
 // boundSlack is the relative float safety margin of the pruning
@@ -148,7 +159,12 @@ const boundSlack = 1e-9
 // so candidates can be rejected before any per-segment arithmetic.
 func (p Params) distanceLowerBound(ampQ, durQ, ampC, durC, vwMin, wsum float64, rel SourceRelation) float64 {
 	wa, wf := p.ampFreqWeights()
-	ws := p.StreamWeight(rel)
+	return lowerBound(wa, wf, p.StreamWeight(rel), ampQ, durQ, ampC, durC, vwMin, wsum)
+}
+
+// lowerBound is distanceLowerBound with the weights already resolved
+// (see weightedDistance); the search loops call it directly.
+func lowerBound(wa, wf, ws, ampQ, durQ, ampC, durC, vwMin, wsum float64) float64 {
 	gap := wa*math.Abs(ampQ-ampC) + wf*math.Abs(durQ-durC)
 	// Deflate by a slack proportional to the input magnitude (not the
 	// gap): rounding error in the prefix sums and in the exact

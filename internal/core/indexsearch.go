@@ -84,14 +84,13 @@ func (m *Matcher) indexSearchable(n int) bool {
 // yields the unbounded envelope.
 func (sc *searchCtx) envelope(bound float64) sigindex.ProbeQuery {
 	q := sigindex.ProbeQuery{Sig: sc.sig}
-	p := sc.params
-	wa, wf := p.ampFreqWeights()
+	wa, wf := sc.wa, sc.wf
 	if bound >= inf || sc.vwMin <= 0 {
 		q.AmpLo, q.AmpHi = math.Inf(-1), math.Inf(1)
 		q.DurLo, q.DurHi = math.Inf(-1), math.Inf(1)
 		return q
 	}
-	g := bound * p.maxStreamWeight() * sc.wsum / sc.vwMin
+	g := bound * sc.params.maxStreamWeight() * sc.wsum / sc.vwMin
 	pad := boundSlack * (2*(wa*sc.ampQ+wf*sc.durQ) + 4*g)
 	ra := (g + pad) / wa
 	rd := (g + pad) / wf

@@ -108,25 +108,36 @@ type Matcher struct {
 	// goroutine owns one workerState; the slice grows to the effective
 	// parallelism and is reused across searches.
 	vw      []float64
+	streams []*store.Stream
 	workers []*workerState
 }
 
 // workerState is one search worker's private scratch.
 type workerState struct {
-	starts  []int   // ablation-mode candidate starts, reused across streams
+	starts  []int   // candidate starts of the current stream, reused across streams
 	matches []Match // threshold-mode partial results
 	funnel  funnelCounts
 	stage   stageNS
+	mark    time.Time // last stage-clock reading (traced searches only)
+}
+
+// lap charges the time since the worker's last clock mark to *stage
+// and moves the mark forward. The funnel calls it once per stage per
+// stream, never per candidate.
+func (w *workerState) lap(stage *int64) {
+	now := time.Now()
+	*stage += int64(now.Sub(w.mark))
+	w.mark = now
 }
 
 // stageNS accumulates per-funnel-stage wall time (nanoseconds),
 // worker-locally. Only populated when the search is traced
-// (searchCtx.timed) — untraced searches pay no clock reads in the
-// candidate loop.
+// (searchCtx.timed). Each stage is clocked once per stream pass, so
+// the candidate loops themselves never read the clock.
 type stageNS struct {
-	stateOrder int64 // FindWindows index probes
-	lb         int64 // O(1) lower-bound evaluations
-	dist       int64 // bounded exact distance computations
+	stateOrder int64 // candidate start generation (AppendWindows)
+	lb         int64 // pass 1: self-exclusion + O(1) lower bound
+	dist       int64 // pass 2: live-bound recheck + bounded exact distance
 }
 
 func (s *stageNS) add(o stageNS) {
@@ -250,16 +261,18 @@ type searchCtx struct {
 	q         Query
 	sig       string
 	n         int
-	vw        []float64 // per-segment vertex weights (read-only)
-	wsum      float64   // Σ vw
-	vwMin     float64   // min vw — the lower-bound weight floor
-	ampQ      float64   // Σ per-segment displacement norms of the query
-	durQ      float64   // query duration
+	vw        []float64  // per-segment vertex weights (read-only)
+	wsum      float64    // Σ vw
+	vwMin     float64    // min vw — the lower-bound weight floor
+	wa, wf    float64    // resolved amplitude/frequency weights
+	ws        [3]float64 // resolved stream weight per SourceRelation
+	ampQ      float64    // Σ per-segment displacement norms of the query
+	durQ      float64    // query duration
 	threshold float64
 	col       *collector
 	// timed is set when the search runs under a trace span: workers
-	// then accumulate per-stage wall time. Untraced searches skip the
-	// per-candidate clock reads entirely.
+	// then accumulate per-stage wall time, one clock reading per stage
+	// per stream. Untraced searches read no stage clocks at all.
 	timed bool
 	// probe accumulates index-probe telemetry when the search routes
 	// through the signature index (see indexsearch.go).
@@ -306,8 +319,13 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		timed:     span != nil,
 	}
 	sc.wsum, sc.vwMin = sumMin(m.vw)
+	sc.wa, sc.wf = m.Params.ampFreqWeights()
+	for rel := range sc.ws {
+		sc.ws[rel] = m.Params.StreamWeight(SourceRelation(rel))
+	}
 
-	streams := m.DB.Streams()
+	m.streams = m.DB.AppendStreams(m.streams[:0])
+	streams := m.streams
 	if restrict != nil {
 		kept := streams[:0]
 		for _, st := range streams {
@@ -481,44 +499,37 @@ func runParallel(workers []*workerState, n int, do func(w *workerState, i int) e
 }
 
 // scanStream runs the candidate funnel over one stream, generating the
-// candidate start list by FindWindows (or, in ablation mode, every
-// window of the query's length).
+// candidate start list by AppendWindows (or, in ablation mode, every
+// window of the query's length) into the worker's reused scratch.
 func (sc *searchCtx) scanStream(w *workerState, st *store.Stream, ord int) error {
-	p := sc.params
 	seq, amps := st.Snapshot()
-	n := sc.n
-	var starts []int
-	if p.RequireStateOrder {
-		var t0 time.Time
-		if sc.timed {
-			t0 = time.Now()
-		}
-		starts = st.FindWindows(sc.sig)
-		if sc.timed {
-			w.stage.stateOrder += int64(time.Since(t0))
-		}
-		if possible := len(seq) - n + 1; possible > len(starts) {
-			w.funnel.indexPruned += possible - len(starts)
+	if sc.timed {
+		w.mark = time.Now()
+	}
+	possible := len(seq) - sc.n + 1
+	if possible < 0 {
+		possible = 0
+	}
+	if sc.params.RequireStateOrder {
+		w.starts = st.AppendWindows(w.starts[:0], sc.sig)
+		if possible > len(w.starts) {
+			w.funnel.indexPruned += possible - len(w.starts)
 		}
 	} else {
 		// Ablation mode: every window of the query's length is a
-		// candidate, regardless of its state order. The start list
-		// is written into a scratch buffer sized once per stream
-		// (len(seq)-n+1 entries) and reused across streams, keeping
-		// this hot loop allocation-free after the largest stream.
-		possible := len(seq) - n + 1
-		if possible < 0 {
-			possible = 0
-		}
+		// candidate, regardless of its state order.
 		if cap(w.starts) < possible {
 			w.starts = make([]int, 0, possible)
 		}
-		starts = w.starts[:possible]
-		for j := range starts {
-			starts[j] = j
+		w.starts = w.starts[:possible]
+		for j := range w.starts {
+			w.starts[j] = j
 		}
 	}
-	return sc.runFunnel(w, st, ord, seq, amps, starts)
+	if sc.timed {
+		w.lap(&w.stage.stateOrder)
+	}
+	return sc.runFunnel(w, st, ord, seq, amps, w.starts)
 }
 
 // scanProbed runs the candidate funnel over index-probed start
@@ -529,17 +540,17 @@ func (sc *searchCtx) scanStream(w *workerState, st *store.Stream, ord int) error
 // the scan path charges non-matching state orders.
 func (sc *searchCtx) scanProbed(w *workerState, st *store.Stream, ord int, probed []int32) error {
 	seq, amps := st.Snapshot()
-	if cap(w.starts) < len(probed) {
-		w.starts = make([]int, 0, len(probed))
+	if sc.timed {
+		w.mark = time.Now()
 	}
-	starts := w.starts[:len(probed)]
-	for i, j := range probed {
-		starts[i] = int(j)
+	w.starts = w.starts[:0]
+	for _, j := range probed {
+		w.starts = append(w.starts, int(j))
 	}
-	if possible := len(seq) - sc.n + 1; possible > len(starts) {
-		w.funnel.indexPruned += possible - len(starts)
+	if possible := len(seq) - sc.n + 1; possible > len(w.starts) {
+		w.funnel.indexPruned += possible - len(w.starts)
 	}
-	return sc.runFunnel(w, st, ord, seq, amps, starts)
+	return sc.runFunnel(w, st, ord, seq, amps, w.starts)
 }
 
 // runFunnel pushes a candidate start list through the funnel stages —
@@ -548,13 +559,35 @@ func (sc *searchCtx) scanProbed(w *workerState, st *store.Stream, ord int, probe
 // the collector and stage counts into the worker's scratch. It is the
 // shared back half of the scan and probe paths, which is what keeps
 // their results byte-identical.
+//
+// The funnel makes two passes over the start list so that stage
+// timing costs two clock readings per stream instead of four per
+// candidate. Pass 1 applies self-exclusion and the lower bound against
+// the acceptance bound read at stream entry, compacting the survivors
+// in place (starts is the worker's scratch). Pass 2 re-checks each
+// survivor's lower bound against the live bound, then runs the exact
+// distance. The bound only ever shrinks, so pass 1 prunes nothing the
+// live bound would keep, and pass 2 sees, candidate by candidate, the
+// bound a single interleaved loop would see; at Parallelism 1 the
+// funnel counts are the same as that loop's.
 func (sc *searchCtx) runFunnel(w *workerState, st *store.Stream, ord int, seq plr.Sequence, amps []float64, starts []int) error {
-	p := sc.params
 	rel := relationOf(sc.q, st)
 	n := sc.n
 	w.funnel.candidates += len(starts)
-	ws := p.StreamWeight(rel)
+	ws := sc.ws[rel]
 	useLB := len(amps) == len(seq)
+	qStart := sc.q.Seq[0].T
+	// lb is the O(1) lower bound of window j from the stream's prefix
+	// sums: no per-segment arithmetic touched.
+	lb := func(j int) float64 {
+		ampC := amps[j+n-1] - amps[j]
+		durC := seq[j+n-1].T - seq[j].T
+		return lowerBound(sc.wa, sc.wf, ws, sc.ampQ, sc.durQ, ampC, durC, sc.vwMin, sc.wsum)
+	}
+
+	// Pass 1: self-exclusion and lower bound against the entry bound.
+	entryBound := sc.col.bound()
+	kept := starts[:0]
 	for _, j := range starts {
 		if j+n > len(seq) {
 			// A concurrent append grew the stream between the snapshot
@@ -562,35 +595,37 @@ func (sc *searchCtx) runFunnel(w *workerState, st *store.Stream, ord int, seq pl
 			// the next search's business.
 			continue
 		}
-		cand := seq[j : j+n]
-		if rel == SameSession && cand[n-1].T >= sc.q.Seq[0].T {
+		if rel == SameSession && seq[j+n-1].T >= qStart {
 			// Exclude the query itself and any window whose
 			// span overlaps the query's present.
 			w.funnel.selfExcluded++
 			continue
 		}
+		if useLB && lb(j) > entryBound {
+			w.funnel.lbPruned++
+			continue
+		}
+		kept = append(kept, j)
+	}
+	if sc.timed {
+		w.lap(&w.stage.lb)
+	}
+
+	// Pass 2: live-bound recheck, bounded exact distance, acceptance.
+	for _, j := range kept {
 		// The acceptance bound: the distance threshold, tightened to
 		// the k-th best distance seen so far in top-k mode. It only
 		// ever shrinks, so rejecting against a stale (looser) load is
-		// always safe.
+		// always safe. Pass 1 proved lb(j) <= entryBound, so the lower
+		// bound only needs recomputing once the bound has tightened.
 		bound := sc.col.bound()
-		if useLB {
-			// O(1) lower-bound rejection from the stream's prefix
-			// sums: no per-segment arithmetic touched.
-			var t0 time.Time
-			if sc.timed {
-				t0 = time.Now()
-			}
-			ampC := amps[j+n-1] - amps[j]
-			durC := seq[j+n-1].T - seq[j].T
-			pruned := p.distanceLowerBound(sc.ampQ, sc.durQ, ampC, durC, sc.vwMin, sc.wsum, rel) > bound
-			if sc.timed {
-				w.stage.lb += int64(time.Since(t0))
-			}
-			if pruned {
-				w.funnel.lbPruned++
-				continue
-			}
+		if useLB && bound < entryBound && lb(j) > bound {
+			w.funnel.lbPruned++
+			continue
+		}
+		cand := seq[j : j+n]
+		if sc.params.RequireStateOrder && !statesEqual(sc.q.Seq, cand) {
+			return ErrStateMismatch
 		}
 		// Early abandonment: the acceptance bound caps the distance
 		// computation on clearly-distant candidates. An infinite bound
@@ -600,17 +635,7 @@ func (sc *searchCtx) runFunnel(w *workerState, st *store.Stream, ord int, seq pl
 		if dbound >= inf {
 			dbound = 0
 		}
-		var t0 time.Time
-		if sc.timed {
-			t0 = time.Now()
-		}
-		d, within, err := p.distanceBounded(sc.q.Seq, cand, rel, sc.vw, dbound)
-		if sc.timed {
-			w.stage.dist += int64(time.Since(t0))
-		}
-		if err != nil {
-			return err
-		}
+		d, within := weightedDistance(sc.q.Seq, cand, sc.vw, sc.wa, sc.wf, ws, sc.wsum, dbound)
 		if (!within && dbound > 0) || d > sc.threshold {
 			w.funnel.distRejected++
 			continue
@@ -627,6 +652,9 @@ func (sc *searchCtx) runFunnel(w *workerState, st *store.Stream, ord int, seq pl
 		if !sc.col.offer(mt, &w.matches) {
 			w.funnel.distRejected++
 		}
+	}
+	if sc.timed {
+		w.lap(&w.stage.dist)
 	}
 	return nil
 }

@@ -50,12 +50,14 @@ func (m *Matcher) PredictPosition(q Query, matches []Match, delta float64, minMa
 	}
 	dims := q.Seq.Dims()
 	acc := make([]float64, dims)
+	f := make([]float64, 0, dims)
 	var wsum, dsum float64
 	used := 0
 	for _, mt := range matches {
 		seq := mt.Stream.Seq()
-		endT := mt.EndTime()
-		f, inside := seq.PositionAt(endT + delta)
+		end := mt.Start + mt.N - 1
+		var inside bool
+		f, inside = seq.AppendPositionAt(f[:0], seq[end].T+delta, end)
 		if !inside {
 			continue // stream ends before the future point
 		}
@@ -149,13 +151,20 @@ func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, 
 	}
 	dims := q.Seq.Dims()
 	acc := make([]float64, dims)
+	// a and b are reused across matches; each interpolation starts its
+	// segment search at the match's last vertex, which precedes both
+	// horizons for d1, d2 >= 0.
+	a := make([]float64, 0, dims)
+	b := make([]float64, 0, dims)
 	var wsum float64
 	used := 0
 	for _, mt := range matches {
 		seq := mt.Stream.Seq()
-		endT := mt.EndTime()
-		a, insideA := seq.PositionAt(endT + d1)
-		b, insideB := seq.PositionAt(endT + d2)
+		end := mt.Start + mt.N - 1
+		endT := seq[end].T
+		var insideA, insideB bool
+		a, insideA = seq.AppendPositionAt(a[:0], endT+d1, end)
+		b, insideB = seq.AppendPositionAt(b[:0], endT+d2, end)
 		if !insideA || !insideB {
 			continue
 		}

@@ -29,6 +29,7 @@ type StandingQuery struct {
 	vw        []float64
 	wsum      float64
 	vwMin     float64
+	wa, wf    float64
 	ampQ      float64
 	durQ      float64
 	threshold float64
@@ -94,6 +95,7 @@ func NewStandingQuery(p Params, q Query, threshold float64, k int) (*StandingQue
 		k:         k,
 	}
 	sq.wsum, sq.vwMin = sumMin(sq.vw)
+	sq.wa, sq.wf = p.ampFreqWeights()
 	return sq, nil
 }
 
@@ -146,15 +148,12 @@ func (sq *StandingQuery) EvalRange(st *store.Stream, fromEnd, toEnd int) ([]Matc
 		if useLB {
 			ampC := amps[e] - amps[j]
 			durC := seq[e].T - seq[j].T
-			if p.distanceLowerBound(sq.ampQ, sq.durQ, ampC, durC, sq.vwMin, sq.wsum, rel) > sq.threshold {
+			if lowerBound(sq.wa, sq.wf, ws, sq.ampQ, sq.durQ, ampC, durC, sq.vwMin, sq.wsum) > sq.threshold {
 				counts.LBPruned++
 				continue
 			}
 		}
-		d, within, err := p.distanceBounded(sq.q.Seq, cand, rel, sq.vw, sq.threshold)
-		if err != nil {
-			return nil, counts, err
-		}
+		d, within := weightedDistance(sq.q.Seq, cand, sq.vw, sq.wa, sq.wf, ws, sq.wsum, sq.threshold)
 		if !within || d > sq.threshold {
 			counts.DistRejected++
 			continue

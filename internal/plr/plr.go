@@ -252,18 +252,32 @@ func (s Sequence) StateString() string {
 // its ends). The boolean result reports whether t was inside the
 // covered range.
 func (s Sequence) PositionAt(t float64) ([]float64, bool) {
+	return s.AppendPositionAt(nil, t, 0)
+}
+
+// AppendPositionAt is PositionAt appending the position to dst, so a
+// caller interpolating many times can reuse one buffer. from is a
+// search hint: when s[from].T <= t the segment search starts there
+// instead of at the first vertex (a hint that does not hold is
+// ignored). The arithmetic is PositionAt's, so both return the same
+// bits.
+func (s Sequence) AppendPositionAt(dst []float64, t float64, from int) ([]float64, bool) {
 	if len(s) == 0 {
-		return nil, false
+		return dst, false
 	}
 	if t <= s[0].T {
-		return append([]float64(nil), s[0].Pos...), t == s[0].T
+		return append(dst, s[0].Pos...), t == s[0].T
 	}
 	last := s[len(s)-1]
 	if t >= last.T {
-		return append([]float64(nil), last.Pos...), t == last.T
+		return append(dst, last.Pos...), t == last.T
 	}
-	// Binary search for the segment containing t.
+	// Binary search for the segment containing t, keeping
+	// s[lo].T <= t < s[hi].T.
 	lo, hi := 0, len(s)-1
+	if from > 0 && from < hi && s[from].T <= t {
+		lo = from
+	}
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if s[mid].T <= t {
@@ -274,11 +288,10 @@ func (s Sequence) PositionAt(t float64) ([]float64, bool) {
 	}
 	a, b := s[lo], s[hi]
 	frac := (t - a.T) / (b.T - a.T)
-	out := make([]float64, len(a.Pos))
-	for k := range out {
-		out[k] = a.Pos[k] + frac*(b.Pos[k]-a.Pos[k])
+	for k := range a.Pos {
+		dst = append(dst, a.Pos[k]+frac*(b.Pos[k]-a.Pos[k]))
 	}
-	return out, true
+	return dst, true
 }
 
 // IndexAtTime returns the index of the last vertex with T <= t, or -1

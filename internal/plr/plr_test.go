@@ -3,6 +3,7 @@ package plr
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -321,3 +322,33 @@ func TestWindowSharesBacking(t *testing.T) {
 }
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// TestAppendPositionAtHint: a search hint, valid or not, never changes
+// the interpolated bits, and the position is appended into the
+// caller's buffer.
+func TestAppendPositionAtHint(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := make(Sequence, 40)
+	tm := 0.0
+	for i := range s {
+		s[i] = Vertex{T: tm, Pos: []float64{rng.NormFloat64(), rng.NormFloat64()}, State: EX}
+		tm += 0.1 + rng.Float64()
+	}
+	times := []float64{-1, s[0].T, s[len(s)-1].T, tm + 1}
+	for i := range s {
+		times = append(times, s[i].T, s[i].T+0.05)
+	}
+	buf := make([]float64, 0, 2)
+	for _, at := range times {
+		want, wantIn := s.PositionAt(at)
+		for from := -1; from <= len(s); from++ {
+			got, gotIn := s.AppendPositionAt(buf[:0], at, from)
+			if gotIn != wantIn || len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("t=%v from=%d: got %v,%v want %v,%v", at, from, got, gotIn, want, wantIn)
+			}
+			if &got[0] != &buf[:1][0] {
+				t.Fatalf("t=%v from=%d: position not written into the caller's buffer", at, from)
+			}
+		}
+	}
+}

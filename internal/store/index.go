@@ -33,20 +33,19 @@ func (ix *ngramIndex) extend(stateStr []byte) {
 	}
 }
 
-// find returns window starts j <= limit where stateStr[j:j+len(sig)]
-// == sig, using the postings of the signature's first gram as
-// candidates and verifying the remainder directly.
-func (ix *ngramIndex) find(stateStr []byte, sig string, limit int) []int {
+// appendFind appends to dst the window starts j <= limit where
+// stateStr[j:j+len(sig)] == sig, using the postings of the signature's
+// first gram as candidates and verifying the remainder directly.
+func (ix *ngramIndex) appendFind(dst []int, stateStr []byte, sig string, limit int) []int {
 	first := sig[:ngramSize]
-	var out []int
 	for _, p := range ix.postings[first] {
 		j := int(p)
 		if j > limit {
 			break // postings are in increasing order
 		}
 		if j+len(sig) <= len(stateStr) && string(stateStr[j:j+len(sig)]) == sig {
-			out = append(out, j)
+			dst = append(dst, j)
 		}
 	}
-	return out
+	return dst
 }

@@ -13,10 +13,10 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -233,27 +233,35 @@ func (s *Stream) IndexEnabled() bool {
 // window needs one more vertex than it has segments, so starts range
 // over [0, Len()-len(sig)-1].
 func (s *Stream) FindWindows(sig string) []int {
+	return s.AppendWindows(nil, sig)
+}
+
+// AppendWindows is FindWindows appending into dst: the matcher passes
+// a reused scratch slice, so candidate generation allocates nothing
+// once the scratch has grown to the longest start list.
+func (s *Stream) AppendWindows(dst []int, sig string) []int {
 	if len(sig) == 0 {
-		return nil
+		return dst
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	limit := len(s.seq) - len(sig) - 1 // inclusive upper bound for start
 	if limit < 0 {
-		return nil
+		return dst
 	}
 	if s.index != nil && len(sig) >= ngramSize {
-		return s.index.find(s.stateStr, sig, limit)
+		return s.index.appendFind(dst, s.stateStr, sig, limit)
 	}
-	return scanWindows(s.stateStr, sig, limit)
+	return scanWindows(dst, s.stateStr, sig, limit)
 }
 
-// scanWindows is the brute-force state-string scan.
-func scanWindows(stateStr []byte, sig string, limit int) []int {
-	var out []int
-	hay := string(stateStr)
+// scanWindows is the brute-force state-string scan. It searches the
+// byte slice in place rather than converting it to a string, which
+// would copy the whole state string on every call.
+func scanWindows(dst []int, stateStr []byte, sig string, limit int) []int {
+	needle := []byte(sig)
 	for from := 0; ; {
-		i := strings.Index(hay[from:], sig)
+		i := bytes.Index(stateStr[from:], needle)
 		if i < 0 {
 			break
 		}
@@ -261,10 +269,10 @@ func scanWindows(stateStr []byte, sig string, limit int) []int {
 		if j > limit {
 			break
 		}
-		out = append(out, j)
+		dst = append(dst, j)
 		from = j + 1
 	}
-	return out
+	return dst
 }
 
 // Patient is one patient record: metadata plus its session streams.
@@ -403,13 +411,19 @@ func (db *DB) NumPatients() int {
 
 // Streams returns every stream in the database in patient order.
 func (db *DB) Streams() []*Stream {
+	return db.AppendStreams(nil)
+}
+
+// AppendStreams is Streams appending into dst, so a caller that
+// searches repeatedly can reuse one slice instead of building a new
+// one per search.
+func (db *DB) AppendStreams(dst []*Stream) []*Stream {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var out []*Stream
 	for _, p := range db.patients {
-		out = append(out, p.Streams...)
+		dst = append(dst, p.Streams...)
 	}
-	return out
+	return dst
 }
 
 // NumVertices returns the total vertex count across all streams.

@@ -217,7 +217,7 @@ func TestIndexFreshAfterDBEnableIndexes(t *testing.T) {
 		t.Fatalf("FindWindows after post-EnableIndexes append = %v, want [9]", got)
 	}
 	// And the indexed result must agree with a brute-force scan.
-	want := scanWindows([]byte("EOIEOIEOIEEOOI"), "EEOO", st.Len()-4-1)
+	want := scanWindows(nil, []byte("EOIEOIEOIEEOOI"), "EEOO", st.Len()-4-1)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("indexed = %v, scan = %v", got, want)
 	}
